@@ -12,9 +12,15 @@ Usage::
 
     np = get_numpy()
     if np is None:
-        ...  # pure-Python fallback, identical results
+        ...  # scalar loop, identical results
     else:
         ...  # vectorized fast path
+
+The vectorized kernels in :mod:`repro.placement.kernels` and
+:mod:`repro.scheduling.kernels` are NumPy-only (bar the fleet engine's
+``bernoulli_indices``): callers check the guard first and, without
+NumPy, run their scalar ``place()`` / ``choose()`` loops instead of
+entering a kernel.
 
 Setting the environment variable ``REPRO_PURE_PYTHON=1`` (before import)
 disables NumPy even when it is installed — used by the equivalence tests
@@ -51,19 +57,3 @@ def get_numpy() -> Optional[Any]:
     """
     return np
 
-
-def env_place_workers() -> int:
-    """Worker count requested via ``REPRO_PLACE_WORKERS`` (0 = serial).
-
-    Read at call time so operational tooling (and tests) can flip the
-    knob without re-importing; unset, empty or non-integer values mean
-    "no sharding", negative values are clamped to 0.
-    """
-    raw = os.environ.get("REPRO_PLACE_WORKERS", "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return max(value, 0)

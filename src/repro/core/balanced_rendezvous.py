@@ -233,7 +233,7 @@ class BalancedRendezvous(ReplicationStrategy):
         self._vector = bundle
         return bundle
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def place_many(self, addresses: Sequence[int]) -> BatchPlacement:
         """Vectorized top-k race: one blocked score matrix per batch.
 
         The pinned prefix is constant by construction; the remaining
@@ -248,7 +248,7 @@ class BalancedRendezvous(ReplicationStrategy):
         """
         np = get_numpy()
         if np is None:
-            return super()._place_many_serial(addresses)
+            return super().place_many(addresses)
         bundle = self._ensure_vector_state(np)
         addr = as_u64_array(addresses)
         count = addr.shape[0]

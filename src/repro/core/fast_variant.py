@@ -337,7 +337,7 @@ class FastRedundantShare(ReplicationStrategy):
             ),
         )
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def place_many(self, addresses: Sequence[int]) -> BatchPlacement:
         """Batch lookup through the precomputed state tables.
 
         With NumPy and the default ``"cdf"`` selector the whole batch runs
@@ -353,7 +353,7 @@ class FastRedundantShare(ReplicationStrategy):
             np = get_numpy()
             if np is not None:
                 return self._place_many_np(np, addresses)
-        return super()._place_many_serial(addresses)
+        return super().place_many(addresses)
 
     def _place_many_np(self, np, addresses: Sequence[int]) -> BatchPlacement:
         """The NumPy engine: per copy, gather draws grouped by state."""

@@ -199,7 +199,7 @@ class RedundantShare(ReplicationStrategy):
     # Batch placement
     # ------------------------------------------------------------------
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def place_many(self, addresses: Sequence[int]) -> BatchPlacement:
         """Vectorized Algorithm 2/4 over a whole address batch.
 
         With NumPy installed the hazard scan runs as a masked selection

@@ -275,7 +275,7 @@ class SequentialChecking(ReplicationStrategy):
             taken.add(best_id)
         return tuple(chosen)
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def place_many(self, addresses: Sequence[int]) -> BatchPlacement:
         """Vectorized epoch placement: group by epoch, race per group.
 
         Addresses are bucketed by epoch with one ``searchsorted`` over
@@ -290,7 +290,7 @@ class SequentialChecking(ReplicationStrategy):
         """
         np = get_numpy()
         if np is None:
-            return super()._place_many_serial(addresses)
+            return super().place_many(addresses)
         addr = as_u64_array(addresses)
         count = addr.shape[0]
         limit = np.uint64(self._capacity_limit)

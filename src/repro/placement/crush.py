@@ -370,7 +370,7 @@ class CrushStrategy(ReplicationStrategy):
         self._vector = bundle
         return bundle
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def place_many(self, addresses: Sequence[int]) -> BatchPlacement:
         """Vectorized flat straw2 descent with masked retry tail.
 
         Per replica the whole block shares one folded hash state (the
@@ -387,7 +387,7 @@ class CrushStrategy(ReplicationStrategy):
         """
         np = get_numpy()
         if np is None or not self._flat_straw2:
-            return super()._place_many_serial(addresses)
+            return super().place_many(addresses)
         bundle = self._ensure_vector_state(np)
         addr = as_u64_array(addresses)
         count = addr.shape[0]

@@ -43,22 +43,22 @@ the *same float expression* as the scalar loop, e.g. ``(-w) / log(u)``,
 not ``-w * (1 / log(u))`` — and (b) route every unsafe row through the
 scalar path before publishing the batch.
 
-Legs
-----
+NumPy only
+----------
 
-Every kernel has a NumPy leg and a pure-Python leg, switched on
-:func:`repro._compat.get_numpy` exactly like
-:mod:`repro.hashing.primitives` (so ``REPRO_PURE_PYTHON=1`` flips both
-at once).  The pure legs return plain lists with element-wise identical
-values; strategies normally bypass them (their pure fallback is the
-scalar ``place()`` loop), but the kernel tests pin the equivalence so
-either leg can serve as the oracle for the other.
+The kernels are NumPy-only.  Each reads :func:`repro._compat.get_numpy`
+at call time, so the module still imports without NumPy, but callers
+must check that guard first: without NumPy (or with
+``REPRO_PURE_PYTHON=1``) every strategy's ``place_many`` runs its
+scalar ``place()`` loop and never enters a kernel.  The scalar pipeline
+is the oracle the kernel tests pin each kernel against.  The one
+exception is :func:`bernoulli_indices`, whose pure leg serves the fleet
+chaos engine's no-NumPy path.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .. import obs
 from .._compat import get_numpy
@@ -92,13 +92,10 @@ def blocks(count: int, block: int = BLOCK) -> Iterator[Tuple[int, int]]:
 def premix(addresses: Sequence[int]):
     """SplitMix64-mix an address vector once, for reuse by every draw.
 
-    Returns a ``uint64`` array (NumPy leg) or a list of ints (pure leg);
-    either way element ``i`` equals ``splitmix64(addresses[i] & 2**64-1)``
-    — the inner mix of ``u64_from_base``, shared across all bases.
+    Returns a ``uint64`` array whose element ``i`` equals
+    ``splitmix64(addresses[i] & 2**64-1)`` — the inner mix of
+    ``u64_from_base``, shared across all bases.
     """
-    np = get_numpy()
-    if np is None:
-        return [splitmix64(address & _MASK64) for address in addresses]
     return splitmix64_array(as_u64_array(addresses))
 
 
@@ -111,11 +108,6 @@ def draws_from_premixed(base: int, mixed):
     engines, which consume plain (non-open) uniforms.
     """
     np = get_numpy()
-    if np is None:
-        return [
-            splitmix64(splitmix64(base ^ value)) * _INV_2_64
-            for value in mixed
-        ]
     state = splitmix64_array(splitmix64_array(np.uint64(base) ^ mixed))
     return state.astype(np.float64) * _INV_2_64
 
@@ -131,10 +123,6 @@ def state_matrix(bases, mixed):
     the finisher (that composition is :func:`open_draw_matrix`).
     """
     np = get_numpy()
-    if np is None:
-        return [
-            [splitmix64(base ^ value) for base in bases] for value in mixed
-        ]
     return splitmix64_array(
         np.asarray(bases, dtype=np.uint64)[None, :] ^ mixed[:, None]
     )
@@ -143,20 +131,12 @@ def state_matrix(bases, mixed):
 def fold_salt(states, salt: int):
     """Fold one scalar draw value into running ``u64_from_base`` states.
 
-    Element-wise ``sm64(state ^ sm64(salt))`` over an array (or nested
-    list) of states — one step of the ``u64_from_base`` chain with the
-    same ``salt`` for the whole batch, e.g. CRUSH's replica index or
-    retry attempt.
+    Element-wise ``sm64(state ^ sm64(salt))`` over an array of states —
+    one step of the ``u64_from_base`` chain with the same ``salt`` for
+    the whole batch, e.g. CRUSH's replica index or retry attempt.
     """
     np = get_numpy()
     mixed_salt = splitmix64(salt & _MASK64)
-    if np is None:
-        def _fold(item):
-            if isinstance(item, list):
-                return [_fold(entry) for entry in item]
-            return splitmix64(item ^ mixed_salt)
-
-        return _fold(states)
     return splitmix64_array(states ^ np.uint64(mixed_salt))
 
 
@@ -167,13 +147,6 @@ def open_draws_from_state(states):
     open-interval mapping of ``unit_from_base_open``, bit-for-bit.
     """
     np = get_numpy()
-    if np is None:
-        def _draw(item):
-            if isinstance(item, list):
-                return [_draw(entry) for entry in item]
-            return (splitmix64(item) | 1) * _INV_2_64
-
-        return _draw(states)
     state = splitmix64_array(states)
     return (state | np.uint64(1)).astype(np.float64) * _INV_2_64
 
@@ -182,8 +155,7 @@ def open_draw_matrix(bases, mixed):
     """Open-interval ``(0, 1)`` draw matrix: rows = addresses, cols = bases.
 
     Entry ``(i, j)`` equals ``unit_from_base_open(bases[j], a_i)`` — the
-    draw the scalar rendezvous/straw races consume.  NumPy leg returns a
-    float64 matrix; pure leg a list of per-address lists.
+    draw the scalar rendezvous/straw races consume, as a float64 matrix.
     """
     return open_draws_from_state(state_matrix(bases, mixed))
 
@@ -196,22 +168,12 @@ def hrw_score_matrix(weights, uniforms):
     agree with the scalar race bit-for-bit.
     """
     np = get_numpy()
-    if np is None:
-        return [
-            [-weight / math.log(uniform) for weight, uniform in zip(weights, row)]
-            for row in uniforms
-        ]
     return (-np.asarray(weights, dtype=np.float64))[None, :] / np.log(uniforms)
 
 
 def straw2_score_matrix(weights, uniforms):
     """CRUSH straw2 scores ``ln(u) / w`` (negative; closest to 0 wins)."""
     np = get_numpy()
-    if np is None:
-        return [
-            [math.log(uniform) / weight for weight, uniform in zip(weights, row)]
-            for row in uniforms
-        ]
     return np.log(uniforms) / np.asarray(weights, dtype=np.float64)[None, :]
 
 
@@ -222,30 +184,12 @@ def argmax_with_guard(scores, guard: float = TIE_GUARD):
     entry (first index on exact ties, like the scalar ``>`` races), and
     True where the margin over the runner-up is at most
     ``abs(best) * guard`` — those rows must be settled by the caller's
-    scalar path.  **Consumes the winning entries**: on the NumPy leg the
-    per-row maxima are left at ``-inf`` so repeated calls implement a
-    without-replacement race (this is what the proven trivial-replication
-    engine does between draws); copy the matrix first if it must survive.
+    scalar path.  **Consumes the winning entries**: the per-row maxima
+    are left at ``-inf`` so repeated calls implement a without-replacement
+    race (this is what the proven trivial-replication engine does between
+    draws); copy the matrix first if it must survive.
     """
     np = get_numpy()
-    if np is None:
-        winners: List[int] = []
-        unsafe: List[bool] = []
-        for row in scores:
-            best = -math.inf
-            runner = -math.inf
-            winner = 0
-            for index, score in enumerate(row):
-                if score > best:
-                    runner = best
-                    best = score
-                    winner = index
-                elif score > runner:
-                    runner = score
-            winners.append(winner)
-            unsafe.append((best - runner) <= abs(best) * guard)
-            row[winner] = -math.inf
-        return winners, unsafe
     rows = np.arange(scores.shape[0])
     winners = np.argmax(scores, axis=1)
     best = scores[rows, winners]
@@ -265,13 +209,6 @@ def topk_with_guard(scores, count: int, guard: float = TIE_GUARD):
     """
     np = get_numpy()
     winners = []
-    if np is None:
-        unsafe = [False] * len(scores)
-        for _ in range(count):
-            draw_winners, draw_unsafe = argmax_with_guard(scores, guard)
-            winners.append(draw_winners)
-            unsafe = [a or b for a, b in zip(unsafe, draw_unsafe)]
-        return winners, unsafe
     unsafe = np.zeros(scores.shape[0], dtype=bool)
     for _ in range(count):
         draw_winners, draw_unsafe = argmax_with_guard(scores, guard)
@@ -288,10 +225,6 @@ def cdf_gather(boundaries, draws):
     makes the ``searchsorted`` gather bit-identical to it.
     """
     np = get_numpy()
-    if np is None:
-        import bisect
-
-        return [bisect.bisect_right(boundaries, draw) for draw in draws]
     return np.searchsorted(
         np.asarray(boundaries, dtype=np.float64), draws, side="right"
     )
@@ -301,9 +234,9 @@ def record_tie_recomputes(kernel: str, count: int) -> None:
     """Count scalar re-derivations forced by the tie guard.
 
     Only recorded when ``count > 0``: guard trips are astronomically rare
-    (sub-ulp margins), and recording zero would create the counter on the
-    NumPy leg only, breaking the byte-wise trace equivalence the obs
-    layer guarantees between legs.
+    (sub-ulp margins), and recording zero would create the counter only
+    when NumPy runs, breaking the byte-wise trace equivalence the obs
+    layer guarantees between the NumPy engines and the scalar loops.
     """
     if count and obs.sink().enabled:
         obs.metrics().counter(
@@ -334,22 +267,3 @@ def bernoulli_indices(base: int, count: int, probability: float):
     draws = units_from_base(base, np.arange(count, dtype=np.int64))
     return np.flatnonzero(draws < probability).astype(np.int64)
 
-
-def class_histogram(values, classes: int):
-    """Occurrence counts of each class ``0 .. classes - 1``.
-
-    ``values`` must already lie in range.  Returns a plain list of ints
-    on both legs (``np.bincount`` with ``minlength`` on the NumPy leg),
-    so callers can compare histograms across legs with ``==``.
-    """
-    np = get_numpy()
-    if np is None:
-        counts = [0] * classes
-        for value in values:
-            counts[value] += 1
-        return counts
-    return (
-        np.bincount(np.asarray(values, dtype=np.int64), minlength=classes)
-        .astype(int)
-        .tolist()
-    )

@@ -213,7 +213,7 @@ class WeightedStripingStrategy(ReplicationStrategy):
             )
         return ((addr % length) * copies) % length
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def place_many(self, addresses: Sequence[int]) -> BatchPlacement:
         """Vectorized striping: reduce to start slots, gather the table.
 
         Exact integer arithmetic end to end, so the result is identical
@@ -222,7 +222,7 @@ class WeightedStripingStrategy(ReplicationStrategy):
         """
         np = get_numpy()
         if np is None:
-            return super()._place_many_serial(addresses)
+            return super().place_many(addresses)
         starts = self._start_slots(np, addresses)
         if starts.size:
             table = self._ensure_start_table(np)

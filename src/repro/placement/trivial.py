@@ -90,7 +90,7 @@ class TrivialReplication(ReplicationStrategy):
             taken.add(best_id)
         return tuple(chosen)
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def place_many(self, addresses: Sequence[int]) -> BatchPlacement:
         """Vectorized Definition 2.3: k masked rendezvous races per batch.
 
         Each draw evaluates every (bin, address) score in one SplitMix64
@@ -104,7 +104,7 @@ class TrivialReplication(ReplicationStrategy):
         """
         np = get_numpy()
         if np is None:
-            return super()._place_many_serial(addresses)
+            return super().place_many(addresses)
         addr = as_u64_array(addresses)
         count = addr.shape[0]
         bin_count = len(self._bins)

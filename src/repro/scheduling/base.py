@@ -297,34 +297,30 @@ class ReadScheduler(abc.ABC):
         """Columnar scheduler-rank view of either placement input form.
 
         Returns ``(columns, k)`` where ``columns[c][i]`` is the scheduler
-        rank of copy ``c``'s device for request ``i`` — NumPy ``int64``
-        columns on the fast leg, plain lists on the pure leg.
+        rank of copy ``c``'s device for request ``i``, as NumPy ``int64``
+        columns.  Only the policies' NumPy batch engines call this.
         """
         np = get_numpy()
         if isinstance(placements, BatchPlacement):
-            table = [self.rank_of(device_id) for device_id in placements.rank_ids]
-            if np is not None:
-                lookup = np.asarray(table, dtype=np.int64)
-                columns = [
-                    lookup[np.asarray(column, dtype=np.int64)]
-                    for column in placements.columns
-                ]
-            else:
-                columns = [
-                    [table[int(rank)] for rank in column]
-                    for column in placements.columns
-                ]
+            lookup = np.asarray(
+                [self.rank_of(device_id) for device_id in placements.rank_ids],
+                dtype=np.int64,
+            )
+            columns = [
+                lookup[np.asarray(column, dtype=np.int64)]
+                for column in placements.columns
+            ]
             return columns, placements.copies
         rows = list(placements)
         if not rows:
             return [], 0
         copies = len(rows[0])
         columns = [
-            [self.rank_of(row[position]) for row in rows]
+            np.asarray(
+                [self.rank_of(row[position]) for row in rows], dtype=np.int64
+            )
             for position in range(copies)
         ]
-        if np is not None:
-            columns = [np.asarray(column, dtype=np.int64) for column in columns]
         return columns, copies
 
     def _has_offline(self) -> bool:

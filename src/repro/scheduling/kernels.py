@@ -1,11 +1,12 @@
 """Shared vectorized scheduling kernels.
 
-The scheduler batch engines are assembled from the same discipline as
-:mod:`repro.placement.kernels`: every kernel has a NumPy leg and a
-pure-Python leg switched on :func:`repro._compat.get_numpy`, and the two
-legs return element-wise identical values, so ``REPRO_PURE_PYTHON=1``
-flips the whole subsystem at once and either leg can serve as the oracle
-for the other.
+The scheduler batch engines follow the same discipline as
+:mod:`repro.placement.kernels`: the kernels are NumPy-only and read
+:func:`repro._compat.get_numpy` at call time, so the module imports
+without NumPy.  Every policy checks that guard before entering a
+kernel; without NumPy (or with ``REPRO_PURE_PYTHON=1``) it runs its
+scalar :meth:`~repro.scheduling.base.ReadScheduler.choose` loop, which
+is also the oracle the batch engines are pinned against.
 
 Unlike placement, two of the policies (least-loaded and
 power-of-two-choices) are *inherently sequential* — every choice feeds
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from .._compat import get_numpy
-from ..hashing.primitives import u64_from_base, u64s_from_base
+from ..hashing.primitives import u64s_from_base
 
 
 def draw_column(base: int, start: int, count: int):
@@ -38,12 +39,9 @@ def draw_column(base: int, start: int, count: int):
 
     Element ``i`` equals ``u64_from_base(base, start + i)`` — the draw
     the scalar ``choose()`` path computes for the ``(start + i)``-th
-    request.  Returns a ``uint64`` array (NumPy leg) or a list of ints
-    (pure leg).
+    request, as a ``uint64`` array.
     """
     np = get_numpy()
-    if np is None:
-        return [u64_from_base(base, index) for index in range(start, start + count)]
     return u64s_from_base(base, np.arange(start, start + count, dtype=np.uint64))
 
 
@@ -52,17 +50,9 @@ def cumcount(addresses: Sequence[int]) -> "Sequence[int]":
 
     ``cumcount([7, 3, 7, 7, 3]) == [0, 0, 1, 2, 1]`` — the per-address
     counter value round-robin would have seen at each request, assuming
-    counters start at zero.  Stable and deterministic on both legs.
+    counters start at zero.  Stable and deterministic.
     """
     np = get_numpy()
-    if np is None:
-        seen = {}
-        result: List[int] = []
-        for address in addresses:
-            count = seen.get(address, 0)
-            result.append(count)
-            seen[address] = count + 1
-        return result
     arr = np.asarray(addresses, dtype=np.int64)
     size = len(arr)
     if size == 0:
@@ -83,10 +73,8 @@ def cumcount(addresses: Sequence[int]) -> "Sequence[int]":
 
 def mod_positions(draws, modulus: int):
     """``draws % modulus`` element-wise — the uniform pick over ``k``
-    equally available copy positions.  Returns ints on both legs."""
+    equally available copy positions, as an ``int64`` array."""
     np = get_numpy()
-    if np is None:
-        return [int(draw % modulus) for draw in draws]
     return (draws % np.uint64(modulus)).astype(np.int64)
 
 
@@ -97,13 +85,6 @@ def gather_chosen(columns, positions):
     placement view); ``positions`` the chosen position per request.
     """
     np = get_numpy()
-    if np is None or not columns or not isinstance(
-        columns[0], np.ndarray
-    ):
-        return [
-            int(columns[int(position)][index])
-            for index, position in enumerate(positions)
-        ]
     stacked = np.stack(columns)
     return stacked[
         np.asarray(positions, dtype=np.int64),
@@ -114,9 +95,4 @@ def gather_chosen(columns, positions):
 def bincount_ranks(ranks, size: int) -> List[int]:
     """Requests per device rank — bulk accounting for load counters."""
     np = get_numpy()
-    if np is None or not isinstance(ranks, np.ndarray):
-        totals = [0] * size
-        for rank in ranks:
-            totals[int(rank)] += 1
-        return totals
     return [int(value) for value in np.bincount(ranks, minlength=size)]

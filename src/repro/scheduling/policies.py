@@ -23,8 +23,8 @@ nature — each choice changes the loads the next one reads — so their
 batch engines precompute the per-request hash draws vectorized and run
 a tight scalar feedback loop over rank columns.  Every engine is
 bit-for-bit identical to its scalar :meth:`~ReadScheduler.choose` loop;
-without NumPy all policies fall back to that loop, mirroring how the
-placement strategies treat their pure leg.
+without NumPy all policies fall back to that loop, just as the placement
+strategies fall back to their scalar ``place()`` loop.
 """
 
 from __future__ import annotations

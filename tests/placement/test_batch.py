@@ -1,6 +1,6 @@
 """Batch placement equivalence: ``place_many`` vs the scalar loop.
 
-The vectorized pipeline (and its pure-Python fallback) must agree
+The vectorized pipeline (and, without NumPy, the scalar loop) must agree
 element-wise with ``[place(a) for a in addresses]`` for every strategy,
 across random capacity vectors, replication degrees and namespaces.
 """
@@ -20,6 +20,7 @@ from repro.placement import (
     CrushStrategy,
     RendezvousPlacer,
     TrivialReplication,
+    registry,
 )
 from repro.types import bins_from_capacities
 
@@ -127,11 +128,12 @@ class TestPurePythonFallback:
     ADDRESSES = list(range(-7, 400)) + [2**63, 2**64 - 1]
 
     def fixed_strategies(self):
+        # Every registered strategy: without NumPy each must take its
+        # scalar loop and never enter a NumPy-only kernel.
         bins = bins_from_capacities([100, 250, 60, 400, 90, 130, 310, 55])
         return [
-            RedundantShare(bins, copies=3),
-            LinMirror(bins),
-            TrivialReplication(bins, copies=3),
+            registry.create(name, bins, copies=3)
+            for name in registry.strategy_names()
         ]
 
     def test_fallback_matches_numpy_pipeline(self, monkeypatch):

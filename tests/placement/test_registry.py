@@ -133,19 +133,16 @@ def test_option_schemas_expose_defaults_and_docs():
 
 
 def test_single_copy_and_replication_share_the_batch_signature():
-    # Every registered strategy accepts the unified keyword signature;
-    # single-copy placers expose the same shape (serial fallback).
+    # Every registered strategy accepts the unified batch signature;
+    # single-copy placers expose the same shape (a plain scalar loop).
     from repro.placement import RendezvousPlacer
 
     for entry in registered_strategies():
         strategy = entry.build(BINS, 3)
-        batch = strategy.place_many(range(8), workers=None)
+        batch = strategy.place_many(range(8))
         assert batch.tuples() == [strategy.place(a) for a in range(8)]
     placer = RendezvousPlacer(BINS)
-    assert placer.place_many(range(8), workers=None) == [
-        placer.place(a) for a in range(8)
-    ]
-    assert placer.place_many(range(8), workers=4) == placer.place_many(range(8))
+    assert placer.place_many(range(8)) == [placer.place(a) for a in range(8)]
 
 
 def test_every_entry_builds_and_places():
@@ -161,16 +158,14 @@ def test_every_entry_builds_and_places():
 
 
 def test_vectorized_flags_match_reality():
-    # Entries flagged vectorized must override the serial engine rather
+    # Entries flagged vectorized must override the batch engine rather
     # than inherit the generic loop (the bench's speedup gate keys on it).
     from repro.placement.base import ReplicationStrategy
 
-    generic = ReplicationStrategy._place_many_serial
+    generic = ReplicationStrategy.place_many
     for entry in registered_strategies():
         strategy = entry.build(BINS, 3)
-        overrides = (
-            type(strategy)._place_many_serial is not generic
-        )
+        overrides = type(strategy).place_many is not generic
         assert overrides == entry.vectorized, entry.name
 
 
