@@ -10,7 +10,10 @@ port onto tested building blocks instead of re-deriving them:
 * **Single-pass SplitMix64 premix** — :func:`premix` mixes the address
   vector once; every subsequent draw is then pure integer work
   (``u64_from_base(base, a) == sm64(sm64(base ^ sm64(a)))``), shared by
-  all (copy, bin) draws of the batch.
+  all (copy, bin) draws of the batch.  :func:`draws_from_premixed`
+  broadcasts, so the hazard scan evaluates one rank (a 1-D step) or a
+  window of ranks (an addresses × ranks block) with the same
+  expression.
 * **Blocked score matrices** — :func:`blocks` carves the batch into
   :data:`BLOCK`-sized slices so the (addresses × bins) float64 matrices
   stay L2-sized; results are independent per address, so blocking can
@@ -105,7 +108,9 @@ def draws_from_premixed(base: int, mixed):
 
     Element ``i`` equals ``unit_from_base(base, a_i)`` where ``mixed[i]``
     is ``premix([a_i, ...])[i]``; used by the hazard-scan and CDF-gather
-    engines, which consume plain (non-open) uniforms.
+    engines, which consume plain (non-open) uniforms.  ``base`` may also
+    be a ``uint64`` array that broadcasts against ``mixed`` (e.g. a row
+    of bases against a column of addresses for a draw block).
     """
     np = get_numpy()
     state = splitmix64_array(splitmix64_array(np.uint64(base) ^ mixed))

@@ -10,6 +10,7 @@ import pytest
 from repro import obs
 from repro.cluster import Cluster, FailureInjector, Rebalancer
 from repro.core import LinMirror, RedundantShare
+from repro.obs.metrics import Histogram
 from repro.placement import TrivialReplication
 from repro.simulation import Simulator
 from repro.types import BinSpec, bins_from_capacities
@@ -64,22 +65,41 @@ class TestPlacementInstrumentation:
         assert histogram.count == 2
 
     def test_scan_depth_histogram_matches_scalar_walks(self):
-        strategy = RedundantShare(
-            bins_from_capacities([5, 4, 3, 2, 1]), copies=2
+        # 300 addresses on 5 bins: the batch engine steps one rank at a time.
+        self.check_scan_depths(
+            RedundantShare(bins_from_capacities([5, 4, 3, 2, 1]), copies=2),
+            range(300),
         )
-        population = range(300)
+
+    def test_scan_depth_histogram_matches_scalar_walks_in_wide_windows(self):
+        # 16 addresses on 200 bins: each copy is scanned in one window.
+        self.check_scan_depths(
+            RedundantShare(
+                bins_from_capacities([(7 * i) % 90 + 10 for i in range(200)]),
+                copies=3,
+            ),
+            range(16),
+        )
+
+    @staticmethod
+    def check_scan_depths(strategy, population):
+        copies = strategy.copies
         expected_depths = [
-            strategy._walk_ranks(address, 2)[-1] + 1 for address in population
+            strategy._walk_ranks(address, copies)[-1] + 1
+            for address in population
         ]
         with obs.capture() as trace:
             strategy.place_many(population)
         scan = trace.of_kind("placement.scan")[0]
-        assert scan.fields["addresses"] == 300
+        assert scan.fields["addresses"] == len(expected_depths)
         assert scan.fields["depth_sum"] == sum(expected_depths)
         assert scan.fields["depth_max"] == max(expected_depths)
         histogram = obs.metrics().histogram("placement.scan_depth")
-        assert histogram.count == 300
+        assert histogram.count == len(expected_depths)
         assert histogram.total == sum(expected_depths)
+        reference = Histogram(histogram.name, histogram.bounds)
+        reference.observe_many(expected_depths)
+        assert histogram.snapshot() == reference.snapshot()
 
     def test_default_loop_strategies_emit_batch_events_too(self):
         strategy = TrivialReplication(

@@ -6,6 +6,7 @@ across random capacity vectors, replication degrees and namespaces.
 """
 
 import collections
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import repro._compat as compat
 from repro.core import FastRedundantShare, LinMirror, RedundantShare
+from repro.core.redundant_share import _window_width
 from repro.exceptions import PlacementError
 from repro.placement import (
     BatchPlacement,
@@ -86,6 +88,63 @@ def test_place_many_matches_scalar_loop(
     batch = strategy.place_many(addresses)
     assert len(batch) == len(addresses)
     assert [tuple(row) for row in batch.tuples()] == expected
+
+
+#: Window-width regimes of the Redundant Share batch engine, each with
+#: the batch sizes that reach it on ``n`` bins (width = 32n // B,
+#: clamped to [1, n]).
+WIDTH_REGIMES = {
+    "full-scan": lambda n: st.integers(min_value=0, max_value=32),
+    "partial": lambda n: st.integers(min_value=33, max_value=16 * n),
+    "single-rank": lambda n: st.integers(
+        min_value=16 * n + 1, max_value=16 * n + 64
+    ),
+}
+EXTREME_ADDRESSES = [-(2**63), -1, 0, 2**63 - 1, 2**63, 2**64 - 1]
+SAMPLED_ROWS = 48
+
+
+@pytest.mark.skipif(
+    not compat.HAVE_NUMPY, reason="the window scan is the NumPy engine"
+)
+@pytest.mark.parametrize("regime", sorted(WIDTH_REGIMES))
+@pytest.mark.parametrize("name", ["lin-mirror", "redundant-share"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_window_scan_matches_scalar_at_every_width(name, regime, data):
+    copies = 2 if name == "lin-mirror" else data.draw(
+        st.integers(min_value=1, max_value=4), label="copies"
+    )
+    # 1 < W < n needs at least 3 bins.
+    minimum = max(copies, 3) if regime == "partial" else copies
+    bin_count = data.draw(
+        st.integers(min_value=minimum, max_value=1200), label="bins"
+    )
+    size = data.draw(WIDTH_REGIMES[regime](bin_count), label="batch")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    capacities = [rng.randint(1, 2_000) for _ in range(bin_count)]
+    if data.draw(st.booleans(), label="clipped"):
+        # One bin holds at least 1/k of the capacity: clipping caps it,
+        # so the scan meets hazards >= 1 as well as deadline ranks.
+        capacities[rng.randrange(bin_count)] = sum(capacities)
+    strategy = REPLICATED_FACTORIES[name](
+        bins_from_capacities(capacities), copies, ""
+    )
+    width = _window_width(bin_count, size)
+    assert {
+        "full-scan": width == bin_count,
+        "partial": 1 < width < bin_count,
+        "single-rank": width == 1,
+    }[regime]
+    addresses = [rng.randint(-(2**63), 2**64 - 1) for _ in range(size)]
+    addresses[: len(EXTREME_ADDRESSES)] = EXTREME_ADDRESSES[:size]
+    rows = strategy.place_many(addresses).tuples()
+    assert len(rows) == size
+    sample = sorted(rng.sample(range(size), min(size, SAMPLED_ROWS)))
+    if size:
+        sample.append(size - 1)
+    for index in sample:
+        assert rows[index] == tuple(strategy.place(addresses[index]))
 
 
 @pytest.mark.parametrize("name", sorted(SINGLE_COPY_FACTORIES))
