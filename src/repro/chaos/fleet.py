@@ -21,15 +21,28 @@ Per epoch:
    slot (the placement map never changes — repairs rebuild onto the
    replacement, exactly the controller's crash/replace semantics with a
    sub-epoch replacement delay).  A block whose copy count reaches zero
-   is lost for good (class 0 is absorbing).
+   is lost for good (class 0 is absorbing).  On the NumPy leg each
+   failed device, in ascending order, is one gather/mask/scatter over
+   the shares a CSR index says it holds; losses are recorded in that
+   order, and the hit blocks merge into a sorted array of damaged
+   block ids.
 2. **Priority repair sweep.**  A budget of ``repair_rate`` share
    rebuilds per epoch (fractional budgets carry over) is spent on the
    lowest-redundancy blocks first — class 1, then class 2, ... — with
    ties broken by ascending block address, mirroring the event-driven
    :class:`~repro.chaos.recovery.RepairQueue` priority
-   ``(survivors, address, position)``.  At most one share of a block is
-   rebuilt per epoch (mass moves up one class), which is also what the
-   mean-field recursion models.
+   ``(survivors, address, position)``.  Every class is selected from the
+   damaged array as it stood before the sweep, so at most one share of
+   a block is rebuilt per epoch (mass moves up one class), which is
+   also what the mean-field recursion models.  The NumPy leg rebuilds
+   the picks in one step: one ``argmin`` finds each pick's first dead
+   slot and one gather its down-time.
+
+An epoch thus costs O(damaged blocks + hit shares), whatever the block
+population.  The pure-Python leg walks the same steps one block at a
+time (per-class sets, a heap for the smallest ids) and is kept as the
+bit-exact reference for the NumPy leg, the role the scalar ``place()``
+plays for ``place_many``.
 
 The observed copy-count distribution is validated two ways: the
 steady-state histogram (time-average over the second half of the run)
@@ -302,6 +315,226 @@ class FleetReport:
         return "\n".join(lines)
 
 
+class _ColumnarState:
+    """NumPy leg of the epoch loop: block state as columns.
+
+    ``alive[slot, block]`` and ``dead_since[slot, block]`` track every
+    share, ``counts`` every block's copy count, and ``damaged`` holds the
+    ids of the blocks with ``0 < count < copies`` in ascending order.
+    """
+
+    def __init__(self, np, columns, blocks: int, devices: int, copies: int):
+        self._np = np
+        self._copies = copies
+        self._blocks = blocks
+        self.alive = np.ones((copies, blocks), dtype=bool)
+        self.counts = np.full(blocks, copies, dtype=np.int16)
+        self.dead_since = np.zeros((copies, blocks), dtype=np.int64)
+        # Inverted CSR index: which (slot, block) shares live on each
+        # device.  Assignment is static (replacements take the failed
+        # device's slot), so this is built once for the whole run.
+        device_concat = np.concatenate(
+            [np.asarray(column, dtype=np.int64) for column in columns]
+        )
+        block_concat = np.tile(np.arange(blocks, dtype=np.int64), copies)
+        order = np.argsort(device_concat, kind="stable")
+        # Shares as flat ``slot * blocks + block`` indices into the
+        # (copies, blocks) state, plus the block of each.
+        self._holds_share = order
+        self._holds_block = block_concat[order]
+        self._pointers = np.searchsorted(
+            device_concat[order], np.arange(devices + 1)
+        ).tolist()
+        self.damaged = np.zeros(0, dtype=np.int64)
+        self.lost: List[int] = []
+        self.repairs = 0
+        self.repair_wait_epochs = 0  # whole epochs a rebuilt share was down
+        self.same_epoch_repairs = 0  # rebuilt in the epoch it died
+
+    def kill(self, failed: Sequence[int], epoch: int) -> None:
+        """Fail ``failed`` (ascending) in turn; losses keep that order."""
+        np = self._np
+        alive = self.alive.reshape(-1)
+        dead_since = self.dead_since.reshape(-1)
+        counts = self.counts
+        hits = [self.damaged]
+        for device in failed:
+            low = self._pointers[device]
+            high = self._pointers[device + 1]
+            shares = self._holds_share[low:high]
+            live = alive[shares]
+            shares = shares[live]
+            if not shares.size:
+                continue
+            hit = self._holds_block[low:high][live]
+            alive[shares] = False
+            dead_since[shares] = epoch
+            counts[hit] -= 1
+            self.lost.extend(hit[counts[hit] == 0].tolist())
+            hits.append(hit)
+        if len(hits) > 1:
+            # ``damaged`` and each device's hits (per slot) are ascending
+            # runs, which a stable sort merges.  Kills only lower counts,
+            # so every merged block is below full redundancy; keep one of
+            # each and drop the ones that reached class 0.
+            merged = np.concatenate(hits)
+            merged.sort(kind="stable")
+            keep = counts[merged] > 0
+            keep[1:] &= merged[1:] != merged[:-1]
+            self.damaged = merged[keep]
+
+    def repair(
+        self,
+        budget: int,
+        epoch: int,
+        repair_order: Optional[List[Tuple[int, int]]],
+    ) -> None:
+        """Spend ``budget`` rebuilds: class 1 first, ascending ids within.
+
+        Every class is selected from the counts as they stood before the
+        sweep, so a block is rebuilt at most once per epoch.
+        """
+        np = self._np
+        damaged = self.damaged
+        if not damaged.size:
+            return
+        alive, counts = self.alive, self.counts
+        classes = counts[damaged]
+        picks = []
+        for klass in range(1, self._copies):
+            if budget <= 0:
+                break
+            taken = damaged[classes == klass][:budget]
+            picks.append(taken)
+            budget -= taken.size
+        taken = np.concatenate(picks)
+        # The first dead slot of each pick, and how long it was down.
+        slots = alive[:, taken].argmin(axis=0)
+        waits = epoch - self.dead_since[slots, taken]
+        alive[slots, taken] = True
+        counts[taken] += 1
+        self.repairs += taken.size
+        self.repair_wait_epochs += int(waits.sum())
+        self.same_epoch_repairs += int(np.count_nonzero(waits == 0))
+        if repair_order is not None:
+            repair_order.extend((epoch, block) for block in taken.tolist())
+        self.damaged = damaged[counts[damaged] < self._copies]
+
+    def class_counts(self) -> List[int]:
+        """Blocks per copy count ``0 .. copies``."""
+        histogram = self._np.bincount(
+            self.counts[self.damaged], minlength=self._copies + 1
+        ).tolist()
+        histogram[0] = len(self.lost)
+        histogram[self._copies] = (
+            self._blocks - len(self.lost) - self.damaged.size
+        )
+        return histogram
+
+
+class _ScalarState:
+    """Pure-Python leg of the epoch loop, one block at a time.
+
+    The bit-exact reference for :class:`_ColumnarState` (the role the
+    scalar ``place()`` plays for ``place_many``): damaged blocks sit in
+    per-class sets and the sweep takes the smallest ids of each class
+    with a heap.
+    """
+
+    def __init__(self, columns, blocks: int, copies: int):
+        self._copies = copies
+        self.alive = [[True] * blocks for _ in range(copies)]
+        self.counts = [copies] * blocks
+        self.dead_since = [[0] * blocks for _ in range(copies)]
+        self._holds: Dict[int, List[Tuple[int, int]]] = {}
+        for slot, column in enumerate(columns):
+            for block, device in enumerate(column):
+                self._holds.setdefault(int(device), []).append((slot, block))
+        # Damaged blocks bucketed by current copy count (class); blocks
+        # at full redundancy or lost (class 0) are in no bucket.
+        self._damaged: List[Set[int]] = [set() for _ in range(copies + 1)]
+        self._class_counts = [0] * (copies + 1)
+        self._class_counts[copies] = blocks
+        self.lost: List[int] = []
+        self.repairs = 0
+        self.repair_wait_epochs = 0
+        self.same_epoch_repairs = 0
+
+    def kill(self, failed: Sequence[int], epoch: int) -> None:
+        """Fail ``failed`` (ascending) in turn; losses keep that order."""
+        alive, counts = self.alive, self.counts
+        damaged, class_counts = self._damaged, self._class_counts
+        for device in failed:
+            for slot, block in self._holds.get(device, ()):
+                if not alive[slot][block]:
+                    continue
+                alive[slot][block] = False
+                self.dead_since[slot][block] = epoch
+                counts[block] -= 1
+                count = counts[block]
+                class_counts[count + 1] -= 1
+                class_counts[count] += 1
+                if count == 0:
+                    damaged[1].discard(block)
+                    self.lost.append(block)
+                    continue
+                if count + 1 < self._copies:
+                    damaged[count + 1].discard(block)
+                damaged[count].add(block)
+
+    def _revive_one(self, block: int, epoch: int) -> int:
+        for slot in range(self._copies):
+            if not self.alive[slot][block]:
+                self.alive[slot][block] = True
+                self.counts[block] += 1
+                return epoch - self.dead_since[slot][block]
+        raise AssertionError("repair target has no dead share")
+
+    def repair(
+        self,
+        budget: int,
+        epoch: int,
+        repair_order: Optional[List[Tuple[int, int]]],
+    ) -> None:
+        """Spend ``budget`` rebuilds: class 1 first, ascending ids within."""
+        damaged, class_counts = self._damaged, self._class_counts
+        promotions: List[Tuple[int, int]] = []
+        for klass in range(1, self._copies):
+            if budget <= 0:
+                break
+            bucket = damaged[klass]
+            if not bucket:
+                continue
+            if len(bucket) <= budget:
+                taken = sorted(bucket)
+            else:
+                taken = heapq.nsmallest(budget, bucket)
+            for block in taken:
+                bucket.discard(block)
+                wait = self._revive_one(block, epoch)
+                if wait:
+                    self.repair_wait_epochs += wait
+                else:
+                    self.same_epoch_repairs += 1
+                self.repairs += 1
+                class_counts[klass] -= 1
+                class_counts[klass + 1] += 1
+                if repair_order is not None:
+                    repair_order.append((epoch, block))
+                if klass + 1 < self._copies:
+                    # Re-inserted only after the sweep so a block is
+                    # repaired at most once per epoch (the mean-field
+                    # recursion moves mass up exactly one class).
+                    promotions.append((klass + 1, block))
+            budget -= len(taken)
+        for klass, block in promotions:
+            damaged[klass].add(block)
+
+    def class_counts(self) -> List[int]:
+        """Blocks per copy count ``0 .. copies``."""
+        return list(self._class_counts)
+
+
 class FleetSimulator:
     """Runs one columnar failure/repair campaign to its horizon."""
 
@@ -329,6 +562,13 @@ class FleetSimulator:
             copies=self._options.copies,
             **dict(self._options.strategy_options),
         )
+        # Attribute access only, so proxies that forward attributes to a
+        # wrapped strategy pass the same checks.
+        if self._strategy.copies != self._options.copies:
+            raise ConfigurationError(
+                f"strategy places {self._strategy.copies} copies but "
+                f"options.copies is {self._options.copies}"
+            )
 
     @property
     def options(self) -> FleetOptions:
@@ -356,91 +596,11 @@ class FleetSimulator:
         p_fail = opts.failure_probability
 
         batch = self._strategy.place_many(range(blocks))
-        columns = batch.columns
-
-        # --- columnar state -------------------------------------------
         if np is not None:
-            alive = np.ones((copies, blocks), dtype=bool)
-            counts = np.full(blocks, copies, dtype=np.int16)
-            dead_since = np.zeros((copies, blocks), dtype=np.int64)
-            # Inverted CSR index: which (slot, block) shares live on each
-            # device.  Assignment is static (replacements take the failed
-            # device's slot), so this is built once for the whole run.
-            device_concat = np.concatenate(
-                [np.asarray(column, dtype=np.int64) for column in columns]
-            )
-            slot_concat = np.repeat(
-                np.arange(copies, dtype=np.int64), blocks
-            )
-            block_concat = np.tile(np.arange(blocks, dtype=np.int64), copies)
-            order = np.argsort(device_concat, kind="stable")
-            holds_slot = slot_concat[order]
-            holds_block = block_concat[order]
-            pointers = np.searchsorted(
-                device_concat[order], np.arange(devices + 1)
-            )
-
-            def kill_device(device: int, epoch: int) -> List[int]:
-                low, high = pointers[device], pointers[device + 1]
-                slots = holds_slot[low:high]
-                hit_blocks = holds_block[low:high]
-                live = alive[slots, hit_blocks]
-                if not live.any():
-                    return []
-                slots = slots[live]
-                hit_blocks = hit_blocks[live]
-                alive[slots, hit_blocks] = False
-                dead_since[slots, hit_blocks] = epoch
-                counts[hit_blocks] -= 1
-                return hit_blocks.tolist()
-
-            def revive_one(block: int, epoch: int) -> int:
-                column = alive[:, block]
-                for slot in range(copies):
-                    if not column[slot]:
-                        alive[slot, block] = True
-                        counts[block] += 1
-                        return epoch - int(dead_since[slot, block])
-                raise AssertionError("repair target has no dead share")
-
+            state = _ColumnarState(np, batch.columns, blocks, devices, copies)
         else:
-            alive = [[True] * blocks for _ in range(copies)]
-            counts = [copies] * blocks
-            dead_since = [[0] * blocks for _ in range(copies)]
-            holds: Dict[int, List[Tuple[int, int]]] = {}
-            for slot, column in enumerate(columns):
-                for block, device in enumerate(column):
-                    holds.setdefault(int(device), []).append((slot, block))
-
-            def kill_device(device: int, epoch: int) -> List[int]:
-                hit = []
-                for slot, block in holds.get(device, ()):
-                    if alive[slot][block]:
-                        alive[slot][block] = False
-                        dead_since[slot][block] = epoch
-                        counts[block] -= 1
-                        hit.append(block)
-                return hit
-
-            def revive_one(block: int, epoch: int) -> int:
-                for slot in range(copies):
-                    if not alive[slot][block]:
-                        alive[slot][block] = True
-                        counts[block] += 1
-                        return epoch - dead_since[slot][block]
-                raise AssertionError("repair target has no dead share")
-
-        # Damaged blocks bucketed by current copy count (class); blocks
-        # at full redundancy or lost (class 0) are in no bucket.  Shared
-        # bookkeeping for both legs — it only ever sees Python ints.
-        damaged: List[Set[int]] = [set() for _ in range(copies + 1)]
-        class_counts = [0] * (copies + 1)
-        class_counts[copies] = blocks
-        lost: List[int] = []
+            state = _ScalarState(batch.columns, blocks, copies)
         device_failures = 0
-        repairs = 0
-        repair_wait_epochs = 0  # whole epochs a rebuilt share was down
-        same_epoch_repairs = 0  # rebuilt in the epoch it died
         budget_carry = 0.0
         repair_order: Optional[List[Tuple[int, int]]] = (
             [] if opts.record_repairs else None
@@ -450,6 +610,7 @@ class FleetSimulator:
         sink = obs.sink()
 
         def record_sample(epoch: int) -> None:
+            class_counts = state.class_counts()
             damaged_total = sum(class_counts[1:copies])
             distribution = tuple(
                 count / blocks for count in class_counts
@@ -459,7 +620,7 @@ class FleetSimulator:
                     epoch=epoch,
                     year=epoch * opts.dt,
                     damaged=damaged_total,
-                    lost=len(lost),
+                    lost=len(state.lost),
                     distribution=distribution,
                 )
             )
@@ -471,7 +632,7 @@ class FleetSimulator:
                     "chaos.fleet.sample",
                     epoch=epoch,
                     damaged=damaged_total,
-                    lost=len(lost),
+                    lost=len(state.lost),
                     distribution=list(distribution),
                 )
 
@@ -483,63 +644,27 @@ class FleetSimulator:
                 )
             elif p_fail > 0.0:
                 base = derive_base("chaos-fleet-fail", opts.seed, epoch)
-                failed = bernoulli_indices(base, devices, p_fail)
+                failed = [
+                    int(device)
+                    for device in bernoulli_indices(base, devices, p_fail)
+                ]
             else:
                 failed = []
             for device in failed:
-                device = int(device)
                 if not 0 <= device < devices:
                     raise ConfigurationError(
                         f"scheduled crash device {device} out of range"
                     )
-                device_failures += 1
-                for block in kill_device(device, epoch):
-                    count = int(counts[block])  # new count after the kill
-                    class_counts[count + 1] -= 1
-                    class_counts[count] += 1
-                    if count == 0:
-                        damaged[1].discard(block)
-                        lost.append(block)
-                        continue
-                    if count + 1 < copies:
-                        damaged[count + 1].discard(block)
-                    damaged[count].add(block)
+            if failed:
+                device_failures += len(failed)
+                state.kill(failed, epoch)
 
             # --- priority repair sweep --------------------------------
             budget_carry += opts.repair_rate
             budget = int(budget_carry)
             budget_carry -= budget
-            promotions: List[Tuple[int, int]] = []
-            for klass in range(1, copies):
-                if budget <= 0:
-                    break
-                bucket = damaged[klass]
-                if not bucket:
-                    continue
-                if len(bucket) <= budget:
-                    taken = sorted(bucket)
-                else:
-                    taken = heapq.nsmallest(budget, bucket)
-                for block in taken:
-                    bucket.discard(block)
-                    wait = revive_one(block, epoch)
-                    if wait:
-                        repair_wait_epochs += wait
-                    else:
-                        same_epoch_repairs += 1
-                    repairs += 1
-                    class_counts[klass] -= 1
-                    class_counts[klass + 1] += 1
-                    if repair_order is not None:
-                        repair_order.append((epoch, block))
-                    if klass + 1 < copies:
-                        # Re-inserted only after the sweep so a block is
-                        # repaired at most once per epoch (the mean-field
-                        # recursion moves mass up exactly one class).
-                        promotions.append((klass + 1, block))
-                budget -= len(taken)
-            for klass, block in promotions:
-                damaged[klass].add(block)
+            if budget > 0:
+                state.repair(budget, epoch, repair_order)
 
             # --- sampling ---------------------------------------------
             if epoch % sample_every == 0 or epoch == epochs:
@@ -562,9 +687,11 @@ class FleetSimulator:
                 sample_epochs=[sample.epoch for sample in steady_window],
             )
         )
+        repairs = state.repairs
+        lost = state.lost
         if repairs:
             mean_repair_epochs = (
-                repair_wait_epochs + 0.5 * same_epoch_repairs
+                state.repair_wait_epochs + 0.5 * state.same_epoch_repairs
             ) / repairs
         else:
             mean_repair_epochs = 0.0
@@ -588,7 +715,7 @@ class FleetSimulator:
             copies=copies,
             epochs=epochs,
             dt=opts.dt,
-            strategy=opts.strategy,
+            strategy=self._strategy.name,
             seed=opts.seed,
             device_failures=device_failures,
             repairs_completed=repairs,
@@ -598,7 +725,7 @@ class FleetSimulator:
             final_distribution=samples[-1].distribution,
             steady_state=steady_state,
             mean_field=prediction,
-            counts=counts,
+            counts=state.counts,
             repair_order=repair_order or [],
             durability=durability,
         )

@@ -33,6 +33,7 @@ from .._compat import get_numpy
 from ..capacity.clipping import clip_capacities, is_capacity_efficient
 from ..exceptions import InfeasibleReplicationError
 from ..hashing.primitives import (
+    _INV_2_64,
     as_u64_array,
     derive_base,
     unit_from_base,
@@ -80,6 +81,24 @@ def _window_width(bin_count: int, batch_size: int) -> int:
     batches but lose on that lookup and raise the block bound ``c·n``.
     """
     return max(1, min(bin_count, 32 * bin_count // max(batch_size, 1)))
+
+
+def _u64_thresholds(np, hazards):
+    """Smallest ``t`` with ``float64(t) * 2**-64 >= h``, per hazard ``h``.
+
+    A bisection over ``[0, 2**64 - 1]`` with NumPy's own uint64 → float64
+    conversion, so ``u < t`` holds exactly when the draw
+    ``float64(u) * 2**-64`` is below ``h``.  Hazards must lie in
+    ``[0, 1]``: ``float64(2**64 - 1) * 2**-64 == 1.0`` bounds the search.
+    """
+    low = np.zeros(hazards.shape, dtype=np.uint64)
+    high = np.full(hazards.shape, (1 << 64) - 1, dtype=np.uint64)
+    for _ in range(64):
+        middle = low + (high - low) // np.uint64(2)
+        above = middle.astype(np.float64) * _INV_2_64 >= hazards
+        high = np.where(above, middle, high)
+        low = np.where(above, low, middle + np.uint64(1))
+    return high
 
 
 class RedundantShare(ReplicationStrategy):
@@ -298,88 +317,54 @@ class RedundantShare(ReplicationStrategy):
         )
 
     def _scan_rows(self, np):
-        """Per-copy hazard and salt-base rows for the batch engine.
+        """Per-copy threshold, forced and salt-base rows for the batch engine.
 
-        Row ``c`` holds copy ``c``'s hazards by rank with every forced
-        selection folded into a hazard of 2.0: ranks at or past the
-        copy's deadline and ranks whose hazard is ``>= 1``.  Draws never
-        exceed 1.0, so such a rank always selects, exactly as the scalar
-        walk's explicit checks do.  Both rows are padded with forced
-        ranks to ``2n``, so a window of up to ``n`` ranks that starts
-        below ``n`` never runs off the end.  Built once per instance.
+        Row ``c`` of the thresholds holds, per rank, the smallest ``t``
+        with ``float64(t) * 2**-64 >= h_c(rank)``.  The conversion is
+        monotone and the scale exact, so a draw selects (``unit < h``)
+        exactly when its raw value is below ``t`` (:func:`_u64_thresholds`
+        finds each ``t`` by bisection with NumPy's own conversion).
+        ``u < t`` cannot say "always", so the forced selections stay
+        explicit in a boolean row: ranks at or past the copy's deadline
+        and ranks whose hazard is ``>= 1``.  All rows are padded with
+        forced ranks to ``2n``, so a window of up to ``n`` ranks that
+        starts below ``n`` never runs off the end.  Built once per
+        instance, on the first batch.
         """
         rows = self._np_rows
         if rows is None:
             bin_count = len(self._rank_ids)
-            hazards = np.full((self._copies, 2 * bin_count), 2.0)
+            hazards = np.zeros((self._copies, 2 * bin_count))
+            forced = np.ones((self._copies, 2 * bin_count), dtype=bool)
             bases = np.zeros((self._copies, 2 * bin_count), dtype=np.uint64)
             hazards[:, :bin_count] = self._table.hazards
             bases[:, :bin_count] = self._draw_bases
             for copy, deadline in enumerate(self._deadlines):
-                hazards[copy, deadline:] = 2.0
-            hazards[hazards >= 1.0] = 2.0
-            rows = self._np_rows = (hazards, bases)
+                forced[copy, :deadline] = hazards[copy, :deadline] >= 1.0
+            hazards[forced] = 0.0
+            thresholds = _u64_thresholds(np, hazards)
+            rows = self._np_rows = (thresholds, forced, bases)
         return rows
 
     def _place_many_np(self, np, addresses: Sequence[int]) -> BatchPlacement:
         """The NumPy engine behind :meth:`place_many`: a rank-window scan.
 
-        Each copy walks the ranks ``width`` at a time.  Every undecided
-        address whose scan has reached the current window evaluates the
-        window's draws in one (addresses × width) block, masks the ranks
-        before its own start, and takes its first hit.  At ``width == 1``
-        the block is a 1-D step over the addresses at that rank.
+        Each copy walks the ranks ``width`` at a time (see
+        :func:`_window_width`); ``width == 1`` takes the per-rank step of
+        :meth:`_scan_ranks`, wider windows the block step of
+        :meth:`_scan_windows`.
         """
-        hazard_rows, base_rows = self._scan_rows(np)
         addr = as_u64_array(addresses)
         count = addr.shape[0]
         # The per-address premix is shared by every draw of the batch:
         # u64_from_base(base, a) == sm64(sm64(base ^ sm64(a))).
         mixed = kernels.premix(addr)
-        width = _window_width(len(self._rank_ids), count)
-        offsets = np.arange(width)
-        position = np.zeros(count, dtype=np.int64)
         columns = np.empty((self._copies, count), dtype=np.int64)
-        for copy in range(self._copies):
-            hazards = hazard_rows[copy]
-            bases = base_rows[copy]
-            undecided = np.ones(count, dtype=bool)
-            remaining = count
-            start = 0
-            # Invariant: every undecided address has position >= start,
-            # and the deadline's forced hazard ends the scan before n.
-            while remaining:
-                stop = start + width
-                active = np.flatnonzero(undecided & (position < stop))
-                if active.size:
-                    if width == 1:
-                        hazard = hazards[start]
-                        if hazard >= 1.0:
-                            taken = active
-                        else:
-                            draws = kernels.draws_from_premixed(
-                                bases[start], mixed[active]
-                            )
-                            taken = active[draws < hazard]
-                        ranks = start
-                        position[active] = stop
-                    else:
-                        hits = kernels.draws_from_premixed(
-                            bases[None, start:stop], mixed[active, None]
-                        ) < hazards[start:stop]
-                        begin = position[active] - start
-                        hits &= offsets >= begin[:, None]
-                        first = hits.argmax(axis=1)
-                        hit = hits[np.arange(active.size), first]
-                        taken = active[hit]
-                        ranks = start + first[hit]
-                        position[active] = np.where(
-                            hit, start + first + 1, stop
-                        )
-                    columns[copy, taken] = ranks
-                    undecided[taken] = False
-                    remaining -= taken.size
-                start = stop
+        width = _window_width(len(self._rank_ids), count)
+        if width == 1:
+            self._scan_ranks(np, mixed, columns)
+        else:
+            self._scan_windows(np, mixed, width, columns)
         sink = obs.sink()
         if sink.enabled:
             # The scan depth (last selected rank + 1) of every address.
@@ -390,6 +375,101 @@ class RedundantShare(ReplicationStrategy):
             }
             self._record_scan(sink, count, depth_counts)
         return BatchPlacement(self._rank_ids, list(columns))
+
+    def _scan_ranks(self, np, mixed, columns) -> None:
+        """The per-rank step: one 1-D draw over the addresses at a rank.
+
+        Each copy keeps its active addresses, and their premixed values,
+        compacted at the front of two batch-sized buffers, so a rank
+        costs O(active) whatever the batch size.  The addresses copy
+        ``c`` selects at rank ``r`` join copy ``c + 1`` at rank ``r + 1``
+        (appended); a rank's hits leave by moving the last active
+        entries into their slots.  Entry order never matters: every
+        address's draws depend on that address alone.
+        """
+        thresholds, forced, base_rows = self._scan_rows(np)
+        count = mixed.shape[0]
+        active = np.empty(count, dtype=np.int64)
+        active_mixed = np.empty(count, dtype=np.uint64)
+        entrants = {0: np.arange(count)}
+        for copy in range(self._copies):
+            threshold_row = thresholds[copy]
+            forced_row = forced[copy]
+            base_row = base_rows[copy]
+            selected = {}
+            size = 0
+            rank = min(entrants)
+            # The deadline's forced rank empties the active set before n.
+            while True:
+                joining = entrants.pop(rank, None)
+                if joining is not None:
+                    end = size + joining.size
+                    active[size:end] = joining
+                    active_mixed[size:end] = mixed[joining]
+                    size = end
+                elif not size:
+                    if not entrants:
+                        break
+                    rank = min(entrants)
+                    continue
+                if forced_row[rank]:
+                    taken = active[:size].copy()
+                    size = 0
+                else:
+                    hits = kernels.u64_draws_from_premixed(
+                        base_row[rank], active_mixed[:size]
+                    ) < threshold_row[rank]
+                    holes = np.flatnonzero(hits)
+                    taken = active[holes]
+                    size -= holes.size
+                    movers = size + np.flatnonzero(~hits[size:])
+                    holes = holes[: movers.size]
+                    active[holes] = active[movers]
+                    active_mixed[holes] = active_mixed[movers]
+                if taken.size:
+                    columns[copy, taken] = rank
+                    selected[rank + 1] = taken
+                rank += 1
+            entrants = selected
+
+    def _scan_windows(self, np, mixed, width: int, columns) -> None:
+        """The block step: ``width`` ranks at a time.
+
+        Every undecided address whose scan has reached the current window
+        evaluates the window's draws in one (addresses × width) block,
+        masks the ranks before its own start, and takes its first hit.
+        """
+        thresholds, forced, base_rows = self._scan_rows(np)
+        count = mixed.shape[0]
+        offsets = np.arange(width)
+        position = np.zeros(count, dtype=np.int64)
+        for copy in range(self._copies):
+            threshold_row = thresholds[copy]
+            forced_row = forced[copy]
+            base_row = base_rows[copy]
+            undecided = np.ones(count, dtype=bool)
+            remaining = count
+            start = 0
+            # Invariant: every undecided address has position >= start,
+            # and the deadline's forced rank ends the scan before n.
+            while remaining:
+                stop = start + width
+                active = np.flatnonzero(undecided & (position < stop))
+                if active.size:
+                    hits = kernels.u64_draws_from_premixed(
+                        base_row[None, start:stop], mixed[active, None]
+                    ) < threshold_row[start:stop]
+                    hits |= forced_row[start:stop]
+                    begin = position[active] - start
+                    hits &= offsets >= begin[:, None]
+                    first = hits.argmax(axis=1)
+                    hit = hits[np.arange(active.size), first]
+                    taken = active[hit]
+                    columns[copy, taken] = start + first[hit]
+                    position[active] = np.where(hit, start + first + 1, stop)
+                    undecided[taken] = False
+                    remaining -= taken.size
+                start = stop
 
     def primary(self, address: int) -> str:
         """Convenience accessor for the primary copy's bin."""

@@ -187,17 +187,34 @@ def as_u64_array(values: Sequence[int]):
 def splitmix64_array(values: Sequence[int]):
     """Vectorized :func:`splitmix64` over a sequence of integers.
 
-    With NumPy installed, returns a ``uint64`` array; otherwise a list of
-    Python ints.  Either way the elements equal
-    ``[splitmix64(v & 2**64-1) for v in values]`` exactly.
+    With NumPy installed, returns a new ``uint64`` array; otherwise a
+    list of Python ints.  Either way the elements equal
+    ``[splitmix64(v & 2**64-1) for v in values]`` exactly.  The NumPy leg
+    allocates the result once and mixes it in place (see
+    :func:`splitmix64_inplace`).
     """
     np = get_numpy()
     if np is None:
         return [splitmix64(value & _MASK64) for value in values]
-    value = as_u64_array(values) + np.uint64(_SM64_GOLDEN)
-    value = (value ^ (value >> np.uint64(30))) * np.uint64(_SM64_MULT1)
-    value = (value ^ (value >> np.uint64(27))) * np.uint64(_SM64_MULT2)
-    return value ^ (value >> np.uint64(31))
+    return splitmix64_inplace(np.array(as_u64_array(values), dtype=np.uint64))
+
+
+def splitmix64_inplace(value):
+    """Apply :func:`splitmix64` element-wise to a ``uint64`` array in place.
+
+    The shifted terms go through one scratch array of the same shape.
+    Returns ``value``.  NumPy only.
+    """
+    np = get_numpy()
+    value += np.uint64(_SM64_GOLDEN)
+    scratch = np.empty_like(value)
+    for shift, multiplier in ((30, _SM64_MULT1), (27, _SM64_MULT2)):
+        np.right_shift(value, np.uint64(shift), out=scratch)
+        value ^= scratch
+        value *= np.uint64(multiplier)
+    np.right_shift(value, np.uint64(31), out=scratch)
+    value ^= scratch
+    return value
 
 
 def u64s_from_base(base: int, values: Sequence[int]):

@@ -10,10 +10,13 @@ port onto tested building blocks instead of re-deriving them:
 * **Single-pass SplitMix64 premix** — :func:`premix` mixes the address
   vector once; every subsequent draw is then pure integer work
   (``u64_from_base(base, a) == sm64(sm64(base ^ sm64(a)))``), shared by
-  all (copy, bin) draws of the batch.  :func:`draws_from_premixed`
-  broadcasts, so the hazard scan evaluates one rank (a 1-D step) or a
-  window of ranks (an addresses × ranks block) with the same
-  expression.
+  all (copy, bin) draws of the batch.  :func:`u64_draws_from_premixed`
+  returns those raw draws, mixed in place, and broadcasts, so the
+  hazard scan evaluates one rank (a 1-D step) or a window of ranks (an
+  addresses × ranks block) with the same expression and compares the
+  raw values against integer thresholds, never converting to float.
+  :func:`draws_from_premixed` maps them onto ``[0, 1)`` for engines
+  that need the uniforms.
 * **Blocked score matrices** — :func:`blocks` carves the batch into
   :data:`BLOCK`-sized slices so the (addresses × bins) float64 matrices
   stay L2-sized; results are independent per address, so blocking can
@@ -71,6 +74,7 @@ from ..hashing.primitives import (
     as_u64_array,
     splitmix64,
     splitmix64_array,
+    splitmix64_inplace,
     unit_from_base,
     units_from_base,
 )
@@ -102,19 +106,31 @@ def premix(addresses: Sequence[int]):
     return splitmix64_array(as_u64_array(addresses))
 
 
+def u64_draws_from_premixed(base: int, mixed):
+    """Raw 64-bit draws for one salt base over premixed addresses.
+
+    Element ``i`` equals ``u64_from_base(base, a_i)`` where ``mixed[i]``
+    is ``premix([a_i, ...])[i]``.  ``base`` may also be a ``uint64``
+    array that broadcasts against ``mixed`` (e.g. a row of bases against
+    a column of addresses for a draw block).  Both mixing rounds run in
+    place on the one array the ``xor`` allocates.
+    """
+    np = get_numpy()
+    state = np.bitwise_xor(np.uint64(base), mixed, dtype=np.uint64)
+    return splitmix64_inplace(splitmix64_inplace(state))
+
+
 def draws_from_premixed(base: int, mixed):
     """Closed-interval ``[0, 1)`` draws for one salt base over premixed
     addresses.
 
-    Element ``i`` equals ``unit_from_base(base, a_i)`` where ``mixed[i]``
-    is ``premix([a_i, ...])[i]``; used by the hazard-scan and CDF-gather
-    engines, which consume plain (non-open) uniforms.  ``base`` may also
-    be a ``uint64`` array that broadcasts against ``mixed`` (e.g. a row
-    of bases against a column of addresses for a draw block).
+    Element ``i`` equals ``unit_from_base(base, a_i)``: the
+    :func:`u64_draws_from_premixed` value times ``2**-64``, for engines
+    that consume plain (non-open) uniforms.  The hazard scan compares the
+    raw values against integer thresholds instead.
     """
     np = get_numpy()
-    state = splitmix64_array(splitmix64_array(np.uint64(base) ^ mixed))
-    return state.astype(np.float64) * _INV_2_64
+    return u64_draws_from_premixed(base, mixed).astype(np.float64) * _INV_2_64
 
 
 def state_matrix(bases, mixed):

@@ -128,6 +128,113 @@ class TestLegEquivalence:
         assert numpy_report.device_failures == 3
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_legs_match_on_wide_configs(self, data):
+        # The columnar sweep against the per-block oracle at sizes where
+        # classes, budgets and same-epoch kills all interact: random
+        # draws with saturating or fractional budgets, and scheduled
+        # crash maps that repeat a device within an epoch or take down
+        # every holder of one block at once (which pins the loss order).
+        if compat.np is None:
+            pytest.skip("NumPy unavailable; nothing to compare against")
+        devices = data.draw(st.integers(2, 64), label="devices")
+        copies = data.draw(st.integers(1, min(4, devices)), label="copies")
+        blocks = data.draw(st.integers(1, 2000), label="blocks")
+        epochs = data.draw(st.integers(1, 60), label="epochs")
+        repair_rate = data.draw(
+            st.one_of(
+                st.floats(0.0, 3.0),  # fractional: carries over
+                st.floats(0.0, blocks * copies / 4),
+            ),
+            label="repair_rate",
+        )
+        strategy = data.draw(
+            st.sampled_from(["striping", "redundant-share"]), label="strategy"
+        )
+        scheduled = data.draw(st.booleans(), label="scheduled")
+        options = FleetOptions(
+            devices=devices,
+            blocks=blocks,
+            copies=copies,
+            epochs=epochs,
+            epochs_per_year=12,
+            failure_rate=data.draw(st.floats(0.0, 12.0), label="failures"),
+            repair_rate=repair_rate,
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+            strategy=strategy,
+            device_capacity=64,
+            record_repairs=True,
+        )
+        crashes = None
+        victim = None
+        if scheduled:
+            crashes = data.draw(
+                st.dictionaries(
+                    st.integers(1, epochs),
+                    st.lists(st.integers(0, devices - 1), max_size=6),
+                    max_size=8,
+                ),
+                label="crashes",
+            )
+            twice = data.draw(st.integers(0, devices - 1), label="twice")
+            crashes.setdefault(1, []).extend([twice, twice])
+            victim = data.draw(st.integers(0, blocks - 1), label="victim")
+            columns = create(
+                strategy,
+                bins_from_capacities([64] * devices, prefix="dev"),
+                copies=copies,
+            ).place_many([victim]).columns
+            crashes.setdefault(epochs, []).extend(
+                int(column[0]) for column in columns
+            )
+        numpy_report = FleetSimulator(options).run(crashes)
+        pure_report = run_pure(options, crashes)
+        assert report_fingerprint(numpy_report) == report_fingerprint(
+            pure_report
+        )
+        if scheduled:
+            assert victim in numpy_report.lost_addresses
+            assert numpy_report.device_failures == sum(
+                len(devices) for devices in crashes.values()
+            )
+
+
+class TestInjectedStrategy:
+    def test_copy_mismatch_is_rejected(self):
+        # A 2-copy strategy under copies=3 would simulate a third copy
+        # that no device holds and that no failure can ever kill.
+        bins = bins_from_capacities([64] * 8, prefix="dev")
+        with pytest.raises(ConfigurationError):
+            FleetSimulator(
+                small_options(copies=3),
+                bins=bins,
+                strategy=create("redundant-share", bins, copies=2),
+            )
+
+    def test_report_names_the_strategy_that_ran(self):
+        bins = bins_from_capacities([64] * 8, prefix="dev")
+        strategy = create("redundant-share", bins, copies=2)
+
+        class Forwarding:
+            """Forwards every attribute, like a timing wrapper."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        options = small_options(copies=2)
+        assert options.strategy != "redundant-share"
+        for injected in (strategy, Forwarding(strategy)):
+            report = FleetSimulator(
+                options, bins=bins, strategy=injected
+            ).run()
+            assert report.strategy == "redundant-share"
+            assert "(redundant-share)" in report.summary()
+
+
 class TestDeterminism:
     def test_same_seed_is_bit_identical(self):
         options = small_options(record_repairs=True)

@@ -1,11 +1,13 @@
 """Behavioural tests for RedundantShare / LinMirror (Algorithms 2 and 4)."""
 
 import collections
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro._compat as compat
 from repro.core import LinMirror, RedundantShare
 from repro.exceptions import ConfigurationError, InfeasibleReplicationError
 from repro.types import BinSpec, bins_from_capacities
@@ -254,3 +256,50 @@ def test_property_redundancy_never_violated(capacities, copies):
     for address in range(200):
         placement = strategy.place(address)
         assert len(set(placement)) == copies
+
+
+@pytest.mark.skipif(
+    not compat.HAVE_NUMPY, reason="the thresholds belong to the NumPy engine"
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_integer_thresholds_classify_draws_like_the_hazards(data):
+    # The batch engine compares raw draws u against per-rank integer
+    # thresholds t instead of float64(u) * 2**-64 against the hazard h.
+    # Pin the contract at every rank that is not forced:
+    # float64(t - 1) * 2**-64 < h <= float64(t) * 2**-64, and both
+    # comparisons agree at u = t - 1, u = t and on random draws.
+    np = compat.np
+    copies = data.draw(st.integers(1, 4), label="copies")
+    bin_count = data.draw(st.integers(copies, 1200), label="bins")
+    regime = data.draw(
+        st.sampled_from(["random", "clipped", "uniform"]), label="regime"
+    )
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    if regime == "uniform":
+        capacities = [100] * bin_count
+    else:
+        capacities = [rng.randint(1, 2_000) for _ in range(bin_count)]
+    if regime == "clipped":
+        capacities[rng.randrange(bin_count)] = sum(capacities)
+    strategy = RedundantShare(bins_from_capacities(capacities), copies=copies)
+    thresholds, forced, _ = strategy._scan_rows(np)
+    scale = 2.0**-64
+    for copy in range(copies):
+        hazards = strategy.table.hazards[copy]
+        deadline = bin_count - copies + copy
+        for rank in range(bin_count):
+            hazard = hazards[rank]
+            assert forced[copy, rank] == (rank >= deadline or hazard >= 1.0)
+            if forced[copy, rank]:
+                continue
+            threshold = int(thresholds[copy, rank])
+            assert hazard <= float(threshold) * scale
+            if threshold:
+                assert float(threshold - 1) * scale < hazard
+            draws = [threshold, threshold - 1] + [
+                rng.getrandbits(64) for _ in range(4)
+            ]
+            for u in draws:
+                if 0 <= u < 2**64:
+                    assert (u * scale < hazard) == (u < threshold)
